@@ -188,18 +188,27 @@ def iter_embeddings(
 
     ``order`` is the join order over query-edge indexes (defaults to
     plan-free textual order, which is valid whenever the query is
-    connected). Yields tuples aligned with ``bound.var_names``.
+    connected). Yields tuples aligned with ``bound.var_names``. Raises
+    :class:`~repro.errors.PlanError` for any malformed order: one that
+    misses, repeats or invents an edge, or has a disconnected prefix.
     """
     bound = ag.bound
     if deadline is None:
         deadline = Deadline.unlimited()
     if ag.empty:
         return
+    n = len(bound.edges)
     if order is None:
-        order = tuple(range(len(bound.edges)))
-    validate_connected_order(order, [e.term_tokens() for e in bound.edges])
-    if len(order) != len(bound.edges):
-        raise PlanError("embedding order must cover every query edge")
+        order = tuple(range(n))
+    if len(order) != n or not all(0 <= eid < n for eid in order):
+        raise PlanError(
+            f"embedding order {tuple(order)!r} must cover every query edge "
+            f"0..{n - 1}"
+        )
+    try:
+        validate_connected_order(order, [e.term_tokens() for e in bound.edges])
+    except ValueError as exc:
+        raise PlanError(str(exc)) from exc
 
     steps = _compile_steps(ag, order)
     assignment: list[int] = [_MISSING] * bound.num_vars

@@ -8,9 +8,10 @@ Wires together the whole pipeline of the paper's Fig. 3:
 2. **Answer-graph generation** — interleaved edge extension and node
    burnback (plus chord materialization and, optionally, edge
    burnback).
-3. **Embedding plan** — greedy (the prototype's default, §5) or DP join
-   order from the *actual* AG statistics.
-4. **Defactorization** — embeddings are joined from the AG.
+3. **Embedding plan** — the prototype's greedy join order (§5) over
+   the *actual* AG statistics.
+4. **Defactorization** — embeddings are joined from the AG by the
+   backtracking enumerator.
 
 The engine implements the common :class:`~repro.engine_api.Engine`
 interface so the benchmark harness can race it against the baseline
@@ -24,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.bushy_exec import materialize_embeddings_bushy
 from repro.core.defactorize import count_embeddings, materialize_embeddings
 from repro.core.generation import (
     GenerationStats,
@@ -32,12 +32,10 @@ from repro.core.generation import (
     generate_answer_graph,
 )
 from repro.engine_api import Engine, EngineResult, resolve_catalog
-from repro.errors import QueryError
 from repro.obs.trace import current_trace
 from repro.graph.store import TripleStore
-from repro.planner.bushy import BushyPlan, bushy_embedding_plan
 from repro.planner.edgifier import Edgifier
-from repro.planner.embedding_planner import dp_embedding_plan, greedy_embedding_plan
+from repro.planner.embedding_planner import greedy_embedding_plan
 from repro.planner.plan import AGPlan, Chordification, EmbeddingPlan
 from repro.planner.triangulator import Triangulator
 from repro.query.algebra import BoundQuery, bind_query
@@ -59,7 +57,6 @@ class WireframeResult:
     ag_plan: AGPlan
     chordification: Chordification
     embedding_plan: EmbeddingPlan
-    bushy_plan: "BushyPlan | None"
     generation_stats: GenerationStats
     phase1_seconds: float
     phase2_seconds: float
@@ -82,14 +79,9 @@ class WireframeEngine(Engine):
         Enable triangle-consistency edge burnback for cyclic queries.
         Off by default, matching the paper's experimental setup ("our
         evaluation over cyclic CQs is without edge burnback", §4).
-    use_chords:
-        Materialize Triangulator chords for cyclic queries (keeps node
-        sets minimal, §4.I). Required for edge burnback.
-    embedding_planner:
-        ``"greedy"`` (the prototype's phase-2 default), ``"dp"``
-        (optimal left-deep), or ``"bushy"`` (the §6 extension: DP over
-        the full bushy join-tree space, executed with materialized
-        sub-trees).
+
+    Cyclic queries are always chordified: the Triangulator's chords are
+    materialized to keep node sets minimal (§4.I).
     """
 
     name = "WF"
@@ -99,25 +91,13 @@ class WireframeEngine(Engine):
         store: TripleStore,
         catalog: Catalog | None = None,
         edge_burnback: bool = False,
-        use_chords: bool = True,
-        embedding_planner: str = "greedy",
-        exhaustive_limit: int = 16,
     ):
-        if embedding_planner not in ("greedy", "dp", "bushy"):
-            raise QueryError(
-                f"unknown embedding planner {embedding_planner!r}; "
-                "expected 'greedy', 'dp', or 'bushy'"
-            )
-        if edge_burnback and not use_chords:
-            raise QueryError("edge burnback requires chord materialization")
         self.store = store
         self.catalog = resolve_catalog(store, catalog)
         self.estimator = CardinalityEstimator(self.catalog)
-        self.edgifier = Edgifier(self.estimator, exhaustive_limit=exhaustive_limit)
+        self.edgifier = Edgifier(self.estimator)
         self.triangulator = Triangulator(self.estimator)
         self.edge_burnback = edge_burnback
-        self.use_chords = use_chords
-        self.embedding_planner = embedding_planner
 
     # ------------------------------------------------------------------
     # Planning
@@ -142,19 +122,11 @@ class WireframeEngine(Engine):
         if cached_plan is not None:
             return bound, cached_plan[0], cached_plan[1]
         ag_plan = self.edgifier.plan(bound)
-        if self.use_chords and not is_acyclic(query):
+        if not is_acyclic(query):
             chordification = self.triangulator.plan(bound)
         else:
             chordification = Chordification((), (), (), 0.0)
         return bound, ag_plan, chordification
-
-    def _embedding_plan(
-        self, bound: BoundQuery, ag: AnswerGraph
-    ) -> EmbeddingPlan:
-        sizes, node_counts = ag.relation_statistics()
-        if self.embedding_planner == "dp":
-            return dp_embedding_plan(bound, sizes, node_counts)
-        return greedy_embedding_plan(bound, sizes, node_counts)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -195,25 +167,13 @@ class WireframeEngine(Engine):
         )
         t1 = time.perf_counter()
 
-        bushy_plan: BushyPlan | None = None
         if ag.empty:
             embedding_plan = EmbeddingPlan(tuple(range(len(bound.edges))), 0.0)
             rows: list[tuple] | None = [] if materialize else None
             count = 0
-        elif self.embedding_planner == "bushy":
-            sizes, node_counts = ag.relation_statistics()
-            bushy_plan = bushy_embedding_plan(bound, sizes, node_counts)
-            # Informational left-deep rendering of the tree's leaves.
-            embedding_plan = EmbeddingPlan(
-                bushy_plan.root.edges(), bushy_plan.estimated_cost
-            )
-            all_rows = materialize_embeddings_bushy(
-                ag, bushy_plan, deadline=deadline
-            )
-            count = len(all_rows)
-            rows = all_rows if materialize else None
         else:
-            embedding_plan = self._embedding_plan(bound, ag)
+            sizes, node_counts = ag.relation_statistics()
+            embedding_plan = greedy_embedding_plan(bound, sizes, node_counts)
             if materialize:
                 rows = materialize_embeddings(
                     ag, embedding_plan.order, deadline=deadline
@@ -239,7 +199,6 @@ class WireframeEngine(Engine):
             ag_plan=ag_plan,
             chordification=chordification,
             embedding_plan=embedding_plan,
-            bushy_plan=bushy_plan,
             generation_stats=gen_stats,
             phase1_seconds=t1 - t0,
             phase2_seconds=t2 - t1,

@@ -45,7 +45,7 @@ def test_join_order_immaterial_on_ideal_ag():
     for perm in itertools.permutations(range(3)):
         try:
             rows = sorted(iter_embeddings(ag, perm))
-        except ValueError:
+        except PlanError:
             continue  # disconnected orders rejected
         assert rows == reference, perm
 
@@ -60,11 +60,14 @@ def test_materialize_full_projection():
 
 def test_projection_and_distinct():
     store = figure1_graph()
-    q = parse_sparql("select distinct ?y where { ?w :A ?x . ?x :B ?y . ?y :C ?z }")
-    bound, ag = make_ag(store, q)
-    rows = materialize_embeddings(ag)
-    assert rows == [(store.dictionary.lookup("9"),)]
-    assert count_embeddings(ag) == 1
+    for var, node in (("?y", "9"), ("?x", "5")):
+        q = parse_sparql(
+            f"select distinct {var} where {{ ?w :A ?x . ?x :B ?y . ?y :C ?z }}"
+        )
+        bound, ag = make_ag(store, q)
+        rows = materialize_embeddings(ag)
+        assert rows == [(store.dictionary.lookup(node),)]
+        assert count_embeddings(ag) == 1
 
 
 def test_projection_without_distinct_keeps_duplicates():
@@ -110,11 +113,21 @@ def test_self_loop_defactorization():
     assert list(iter_embeddings(ag)) == [(d("1"), d("4"))]
 
 
-def test_incomplete_order_rejected():
+@pytest.mark.parametrize(
+    "order",
+    [(0, 1), (0, 2, 1), (0, 1, 1), (0, 1, 7)],
+    ids=["incomplete", "cross-product", "repeated-edge", "out-of-range"],
+)
+def test_incomplete_order_rejected(order):
+    """Every malformed hand-built order fails with one error type."""
     store = figure1_graph()
     bound, ag = make_ag(store, figure1_query())
     with pytest.raises(PlanError):
-        list(iter_embeddings(ag, (0, 1)))
+        list(iter_embeddings(ag, order))
+    with pytest.raises(PlanError):
+        materialize_embeddings(ag, order)
+    with pytest.raises(PlanError):
+        count_embeddings(ag, order)
 
 
 def test_check_step_on_closing_edge():

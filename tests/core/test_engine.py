@@ -48,33 +48,6 @@ def test_cyclic_with_edge_burnback_ideal():
     assert result.ag_size == sum(len(p) for p in ideal.values())
 
 
-def test_cyclic_without_chords():
-    store = figure4_graph()
-    engine = WireframeEngine(store, use_chords=False)
-    result = engine.evaluate_detailed(figure4_query())
-    assert result.count == 2
-    assert result.chordification.is_trivial
-
-
-def test_edge_burnback_requires_chords():
-    store = figure4_graph()
-    with pytest.raises(QueryError):
-        WireframeEngine(store, edge_burnback=True, use_chords=False)
-
-
-def test_unknown_embedding_planner_rejected():
-    with pytest.raises(QueryError):
-        WireframeEngine(figure1_graph(), embedding_planner="quantum")
-
-
-def test_dp_embedding_planner_same_results():
-    store = figure1_graph()
-    greedy = WireframeEngine(store, embedding_planner="greedy")
-    dp = WireframeEngine(store, embedding_planner="dp")
-    q = figure1_query()
-    assert sorted(greedy.evaluate(q).rows) == sorted(dp.evaluate(q).rows)
-
-
 def test_count_only_mode():
     store = figure1_graph()
     engine = WireframeEngine(store)
